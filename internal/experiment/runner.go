@@ -448,6 +448,7 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 		}()
 		kernel.Run(s.Duration)
 	}()
+	publishQueueHealth(rt.Reg(), scheds)
 	if kernel.Interrupted() {
 		return Result{}, &SeedFailure{
 			Scenario: s.Name, Seed: seed, TimedOut: true,

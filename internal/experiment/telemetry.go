@@ -70,3 +70,34 @@ func (t *shardTelemetry) onWindow(w sim.WindowTelemetry) {
 		t.depth[i].Set(float64(w.Depth[i]), w.Horizon)
 	}
 }
+
+// publishQueueHealth adds the run's calendar-queue health counters,
+// summed over its schedulers (shards), to reg under scope "sim". It runs
+// once, after the kernel stops, so nothing reaches the event path, and
+// is a no-op when metrics are disabled. A queue pathology — calibration
+// that rescans the whole queue, or recalibrations that change nothing —
+// then shows in a Prometheus scrape as calibration_visits or
+// noop_recalibrations far out of line with sim events.
+func publishQueueHealth(reg *obs.Registry, scheds []*sim.Scheduler) {
+	if reg == nil {
+		return
+	}
+	var h sim.QueueHealth
+	for _, s := range scheds {
+		h = h.Add(s.QueueHealth())
+	}
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"queue_resizes", h.Resizes},
+		{"queue_recalibrations", h.Recalibrations},
+		{"queue_noop_recalibrations", h.NoopRecalibrations},
+		{"queue_fallbacks", h.Fallbacks},
+		{"queue_calibration_visits", h.CalibrationVisits},
+		{"queue_insert_moves", h.InsertMoves},
+	} {
+		//detlint:allow obshot -- run-end publication: one lookup per counter per run, after the kernel stops
+		reg.Counter("sim", obs.NoNode, c.name).Add(c.v)
+	}
+}

@@ -15,13 +15,30 @@ package sim
 //     tail (new events carry the largest seq), so insertion memmoves are
 //     short.
 //   - Bucket width is calibrated from the average gap over a sample of
-//     the front-most events, NOT from span/count: the pending set always
-//     contains a few far-future outliers (traffic refill timers, run
-//     horizons) that would otherwise inflate the width and pile dozens
-//     of near-term events into each front bucket.
+//     the calSample front-most events, NOT from span/count: the pending
+//     set always contains a few far-future outliers (traffic refill
+//     timers, run horizons) that would otherwise inflate the width and
+//     pile dozens of near-term events into each front bucket. The
+//     sample is taken by walking the current year forward from the
+//     floor's bucket, one window at a time, and stops after calSample
+//     entries: O(calSample) rather than O(n), and the same sample a
+//     whole-queue scan would find, because buckets are sorted and
+//     windows are visited in time order. Only a year holding fewer than
+//     calSample entries (a sparse or far-future queue) falls back to
+//     scanning every entry.
 //   - Calibration drift is detected online: when insertion memmove cost
 //     or empty-year fallbacks exceed their thresholds, the queue
 //     re-resizes at the same bucket count purely to re-derive the width.
+//     The memmove meter is tie-aware: it counts only shifted entries
+//     strictly later than the inserted event, the part a narrower width
+//     would have hashed elsewhere. Same-instant entries that order after
+//     it (fan-key arrivals inserted before a cluster of slot-aligned
+//     owner-key timers) still move, but no width can split them, so
+//     they never trigger a recalibration.
+//   - Cumulative health counters (QueueHealth) record rebuilds,
+//     recalibrations, fallbacks and the work calibration and insertion
+//     did. Keeping them costs one add per mid-bucket insert; they are
+//     read once per run.
 //   - All buckets share one contiguous backing array (calBucketCap
 //     entries each); only overflowing buckets spill into their own
 //     allocation.
@@ -50,10 +67,14 @@ type calendarQueue struct {
 	floor Time
 
 	// moved/pushes/fallbacks meter calibration drift since the last
-	// resize (see maybeRecalibrate).
+	// resize (see maybeRecalibrate). moved counts only shifted entries
+	// later than the inserted one (see push).
 	moved     int
 	pushes    int
 	fallbacks int
+
+	// stats holds the cumulative health counters (see health).
+	stats QueueHealth
 
 	// spareBuckets/spareHeads hold the bucket arrays retired by the
 	// last resize. Bursty workloads (a DCF cell fanning a frame out to
@@ -63,6 +84,42 @@ type calendarQueue struct {
 	// after the first cycle.
 	spareBuckets [][]entry
 	spareHeads   []int
+}
+
+// QueueHealth is the calendar queue's cumulative self-telemetry: how
+// often it rebuilt or re-derived its width, and how much work width
+// calibration and insertion did. A queue pathology (a calibration that
+// rescans the queue, or a width that piles events into one bucket)
+// shows here as a ratio out of line with the event count. The
+// experiment runner publishes it under metrics scope "sim" at run end.
+type QueueHealth struct {
+	// Resizes counts rebuilds that doubled or halved the bucket count.
+	Resizes uint64
+	// Recalibrations counts drift-triggered rebuilds at an unchanged
+	// bucket count that changed the width; NoopRecalibrations counts
+	// those that found the width already right and rebuilt nothing.
+	Recalibrations     uint64
+	NoopRecalibrations uint64
+	// Fallbacks counts pops that found the current year empty and
+	// searched every bucket head.
+	Fallbacks uint64
+	// CalibrationVisits counts the entries width calibration read.
+	CalibrationVisits uint64
+	// InsertMoves counts the entries mid-bucket inserts shifted,
+	// same-instant ties included.
+	InsertMoves uint64
+}
+
+// Add returns the field-wise sum of h and o (shards sum their queues).
+func (h QueueHealth) Add(o QueueHealth) QueueHealth {
+	return QueueHealth{
+		Resizes:            h.Resizes + o.Resizes,
+		Recalibrations:     h.Recalibrations + o.Recalibrations,
+		NoopRecalibrations: h.NoopRecalibrations + o.NoopRecalibrations,
+		Fallbacks:          h.Fallbacks + o.Fallbacks,
+		CalibrationVisits:  h.CalibrationVisits + o.CalibrationVisits,
+		InsertMoves:        h.InsertMoves + o.InsertMoves,
+	}
 }
 
 const (
@@ -75,9 +132,9 @@ const (
 	// over.
 	calSample = 32
 	// calMovedPerPush and calMaxFallbacks trigger recalibration: mean
-	// insertion memmove above calMovedPerPush means the width is too
-	// wide (overfull buckets); repeated empty-year fallbacks mean it is
-	// too narrow.
+	// later-entry insertion memmove above calMovedPerPush means the
+	// width is too wide (overfull buckets); repeated empty-year
+	// fallbacks mean it is too narrow.
 	calMovedPerPush = 8
 	calMaxFallbacks = 16
 )
@@ -150,11 +207,12 @@ func (c *calendarQueue) push(e entry) {
 			hi = mid
 		}
 	}
+	c.moved += laterThan(b[lo:], e.when)
 	b = append(b, entry{})
 	copy(b[lo+1:], b[lo:])
 	b[lo] = e
 	c.buckets[j] = b
-	c.moved += len(b) - 1 - lo
+	c.stats.InsertMoves += uint64(len(b) - 1 - lo)
 	c.pushes++
 	c.n++
 	if c.n > 2*len(c.buckets) {
@@ -162,6 +220,34 @@ func (c *calendarQueue) push(e entry) {
 	} else {
 		c.maybeRecalibrate()
 	}
+}
+
+// laterThan counts the entries of the sorted run tail, all ordering
+// after an event at when, that lie strictly later than when: the drift
+// meter's share of an insert's memmove. The rest are same-instant
+// entries with a larger key, which shift too, but which no width could
+// split from the inserted event. Both common shapes cost one compare: a
+// keyed same-instant cluster at the bucket's end (no later entries), and
+// FIFO seq order, where the inserted event carries the largest seq and
+// so has no ties after it (every shifted entry is later).
+func laterThan(tail []entry, when Time) int {
+	n := len(tail)
+	if tail[n-1].when == when {
+		return 0
+	}
+	if tail[0].when > when {
+		return n
+	}
+	lo, hi := 1, n-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tail[mid].when > when {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return n - lo
 }
 
 // maybeRecalibrate re-derives the bucket width in place when the drift
@@ -192,6 +278,7 @@ func (c *calendarQueue) pop() (entry, bool) {
 	// Empty year: direct search over the bucket heads for the global
 	// minimum.
 	c.fallbacks++
+	c.stats.Fallbacks++
 	best := -1
 	for j, b := range c.buckets {
 		if h := c.heads[j]; h < len(b) {
@@ -232,14 +319,20 @@ func (c *calendarQueue) take(j int) entry {
 // halvings and (at unchanged nb) for pure width recalibration.
 func (c *calendarQueue) resize(nb int) {
 	newShift := c.calibrateShift()
-	if nb == len(c.buckets) && newShift == c.shift {
+	switch {
+	case nb != len(c.buckets):
+		c.stats.Resizes++
+	case newShift == c.shift:
 		// Pure recalibration that would not change the width: skip the
 		// rebuild (and its allocations) and just reset the drift meters,
 		// so a workload the calendar cannot model better than it already
 		// does (e.g. sparse far-future events) is not charged a
 		// redistribution every calMaxFallbacks pops.
+		c.stats.NoopRecalibrations++
 		c.moved, c.pushes, c.fallbacks = 0, 0, 0
 		return
+	default:
+		c.stats.Recalibrations++
 	}
 	old := c.buckets
 	oldHeads := c.heads
@@ -270,23 +363,11 @@ func (c *calendarQueue) resize(nb int) {
 func (c *calendarQueue) calibrateShift() uint {
 	var sample [calSample]Time
 	k := 0
-	for j, b := range c.buckets {
-		for _, e := range b[c.heads[j]:] {
-			w := e.when
-			if k == calSample {
-				if w >= sample[k-1] {
-					continue
-				}
-				k--
-			}
-			i := k
-			for i > 0 && sample[i-1] > w {
-				sample[i] = sample[i-1]
-				i--
-			}
-			sample[i] = w
-			k++
-		}
+	if c.n >= calSample {
+		k = c.sampleFront(&sample)
+	}
+	if k < calSample {
+		k = c.sampleScan(&sample)
 	}
 	if k < 2 {
 		return c.shift
@@ -316,6 +397,69 @@ func (c *calendarQueue) calibrateShift() uint {
 	}
 	return shift
 }
+
+// sampleFront fills sample with the times of the front-most entries in
+// ascending order by walking the current year the way pop does: window
+// w of the year maps to bucket bucketOf(floor)+w, and that window's
+// entries are exactly the bucket's live prefix below the window top
+// (every entry is at or above the floor, so none belongs to an earlier
+// year). Windows are visited in time order and buckets are sorted, so
+// the first calSample entries seen are the calSample smallest times —
+// the whole-queue scan's sample. It returns how many it found, fewer
+// than calSample only when the year holds fewer.
+func (c *calendarQueue) sampleFront(sample *[calSample]Time) int {
+	width := c.width()
+	top := (c.floor &^ (width - 1)) + width
+	start := c.bucketOf(c.floor)
+	k := 0
+	for w := 0; w < len(c.buckets); w++ {
+		j := (start + w) & c.mask
+		for _, e := range c.buckets[j][c.heads[j]:] {
+			if e.when >= top {
+				break
+			}
+			sample[k] = e.when
+			k++
+			if k == calSample {
+				c.stats.CalibrationVisits += calSample
+				return k
+			}
+		}
+		top += width
+	}
+	c.stats.CalibrationVisits += uint64(k)
+	return k
+}
+
+// sampleScan fills sample with the calSample smallest times by
+// insertion into a sorted window over every live entry: O(n), the
+// fallback for queues whose current year is too sparse to sample.
+func (c *calendarQueue) sampleScan(sample *[calSample]Time) int {
+	k := 0
+	for j, b := range c.buckets {
+		for _, e := range b[c.heads[j]:] {
+			w := e.when
+			if k == calSample {
+				if w >= sample[k-1] {
+					continue
+				}
+				k--
+			}
+			i := k
+			for i > 0 && sample[i-1] > w {
+				sample[i] = sample[i-1]
+				i--
+			}
+			sample[i] = w
+			k++
+		}
+	}
+	c.stats.CalibrationVisits += uint64(c.n)
+	return k
+}
+
+// health returns the cumulative queue-health counters.
+func (c *calendarQueue) health() QueueHealth { return c.stats }
 
 // insertionSort restores ascending (when, seq) order; buckets are short
 // and nearly sorted after redistribution, which is insertion sort's

@@ -137,6 +137,15 @@ func (s *Scheduler) Pending() int { return s.live }
 // the slab's free list (observability for pool tests and benchmarks).
 func (s *Scheduler) PoolSize() int { return s.freeCount }
 
+// QueueHealth returns the calendar queue's cumulative health counters
+// (zero for the heap, or before the first event is scheduled).
+func (s *Scheduler) QueueHealth() QueueHealth {
+	if s.cq == nil {
+		return QueueHealth{}
+	}
+	return s.cq.health()
+}
+
 // ensureQueue resolves the queue implementation on first use.
 func (s *Scheduler) ensureQueue() {
 	if s.q != nil {
