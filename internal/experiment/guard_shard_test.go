@@ -91,7 +91,8 @@ func TestRunGuardedShardWorkerPanic(t *testing.T) {
 
 // TestShardTelemetryRegisters: a sharded, metrics-enabled run populates
 // the per-shard kernel telemetry — windows, per-shard event counters,
-// barrier-wait histograms — in the run's registry.
+// barrier-wait histograms, one handoff sample per window — in the run's
+// registry.
 func TestShardTelemetryRegisters(t *testing.T) {
 	s := quickScenario("shard-telemetry")
 	s.Channel = ChannelV3
@@ -103,6 +104,7 @@ func TestShardTelemetryRegisters(t *testing.T) {
 	}
 	snap := res.Obs.Reg().Snapshot()
 	var windows, events uint64
+	var handoffs uint64
 	var sawWait, sawDepth bool
 	for _, c := range snap.Counters {
 		switch {
@@ -116,6 +118,9 @@ func TestShardTelemetryRegisters(t *testing.T) {
 		if h.Scope == "shard" && h.Name == "barrier_wait_us" && h.Count > 0 {
 			sawWait = true
 		}
+		if h.Scope == "shard" && h.Name == "handoff_us" {
+			handoffs = h.Count
+		}
 	}
 	for _, g := range snap.Gauges {
 		if g.Scope == "shard" && g.Name == "queue_depth" {
@@ -127,6 +132,9 @@ func TestShardTelemetryRegisters(t *testing.T) {
 	}
 	if events != res.EventsFired {
 		t.Fatalf("per-shard event counters sum to %d, kernel fired %d", events, res.EventsFired)
+	}
+	if handoffs != windows {
+		t.Fatalf("%d handoff samples for %d windows, want one per window", handoffs, windows)
 	}
 	if !sawWait {
 		t.Fatal("no barrier-wait samples recorded")

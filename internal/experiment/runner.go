@@ -437,8 +437,8 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	// Final drain: the last window's emissions (and, on an interrupt or
 	// a shard-worker panic, the partial tail the crash dump wants) are
 	// still buffered. Deferred so the flush also runs while a ShardPanic
-	// unwinds toward RunGuarded's recover — the group parks every worker
-	// before re-panicking on the coordinator, so the drain is safe and
+	// unwinds toward RunGuarded's recover — the group stops every worker
+	// before the ShardPanic leaves Run, so the drain is safe and
 	// the ring tail stays (when, key, seq)-ordered. Both flushes are
 	// nil-safe no-ops when tracing is off, and idempotent.
 	func() {

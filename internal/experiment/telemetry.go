@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"time"
+
 	"dcfguard/internal/frame"
 	"dcfguard/internal/obs"
 	"dcfguard/internal/sim"
@@ -26,6 +28,7 @@ var shardSpanBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250}
 type shardTelemetry struct {
 	windows *obs.Counter
 	span    *obs.Histogram
+	handoff *obs.Histogram
 	events  []*obs.Counter
 	busy    []*obs.Histogram
 	wait    []*obs.Histogram
@@ -44,6 +47,7 @@ func NewShardTelemetry(reg *obs.Registry, shards int) func(sim.WindowTelemetry) 
 	t := &shardTelemetry{
 		windows: reg.Counter("shard", obs.NoNode, "windows"),
 		span:    reg.Histogram("shard", obs.NoNode, "window_span_us", shardSpanBounds),
+		handoff: reg.Histogram("shard", obs.NoNode, "handoff_us", shardWallBounds),
 	}
 	for i := 0; i < shards; i++ {
 		node := frame.NodeID(i)
@@ -59,9 +63,11 @@ func NewShardTelemetry(reg *obs.Registry, shards int) func(sim.WindowTelemetry) 
 func (t *shardTelemetry) onWindow(w sim.WindowTelemetry) {
 	t.windows.Inc()
 	t.span.Observe(float64(w.Horizon-w.Start) / 1e3)
+	var busiest time.Duration
 	for i := range t.events {
 		t.events[i].Add(w.Events[i])
 		t.busy[i].Observe(float64(w.Busy[i]) / 1e3)
+		busiest = max(busiest, w.Busy[i])
 		wait := w.Wall - w.Busy[i]
 		if wait < 0 {
 			wait = 0
@@ -69,6 +75,9 @@ func (t *shardTelemetry) onWindow(w sim.WindowTelemetry) {
 		t.wait[i].Observe(float64(wait) / 1e3)
 		t.depth[i].Set(float64(w.Depth[i]), w.Horizon)
 	}
+	// The window's wall time beyond its busiest shard is the barrier's
+	// own cost: publishing the window and noticing it is done.
+	t.handoff.Observe(float64(max(w.Wall-busiest, 0)) / 1e3)
 }
 
 // publishQueueHealth adds the run's calendar-queue health counters,

@@ -69,8 +69,8 @@ func NewFanin[T any](scheds []*Scheduler, apply func(T)) *Fanin[T] {
 }
 
 // Emit buffers one value from the given shard, tagged with that shard's
-// currently firing event. It must be called from the shard's own
-// goroutine (or from the coordinator with all shards parked) — each
+// currently firing event. It must be called from the goroutine
+// draining that shard (or from the coordinator between windows) — each
 // buffer is single-owner by construction, like the medium's outboxes.
 // A nil receiver is a no-op, so callers can emit unconditionally.
 func (f *Fanin[T]) Emit(shard int, v T) {

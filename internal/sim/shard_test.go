@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // --- keyed ordering -------------------------------------------------
@@ -269,8 +271,8 @@ func TestNewShardGroupPanics(t *testing.T) {
 
 // TestShardGroupWorkerPanic: a panic on a shard worker goroutine does
 // not deadlock the barrier or kill the process sideways — the group
-// parks every worker and re-panics the captured *ShardPanic (worker
-// stack attached) on the Run caller's goroutine.
+// lets every shard finish its window and re-panics the captured
+// *ShardPanic (worker stack attached) on the Run caller's goroutine.
 func TestShardGroupWorkerPanic(t *testing.T) {
 	a, b := &Scheduler{}, &Scheduler{}
 	a.EnableKeyed(1)
@@ -312,7 +314,8 @@ func TestShardGroupWorkerPanic(t *testing.T) {
 
 // TestShardGroupTelemetry: the per-window telemetry callback sees every
 // shard's busy time, event delta and queue depth, and the window's sim
-// span, without perturbing the run.
+// span, without perturbing the run; a window's wall time covers every
+// shard's busy time.
 func TestShardGroupTelemetry(t *testing.T) {
 	a, b := &Scheduler{}, &Scheduler{}
 	a.EnableKeyed(1)
@@ -341,6 +344,11 @@ func TestShardGroupTelemetry(t *testing.T) {
 		if w.Horizon <= w.Start {
 			t.Fatalf("window [%v, %v) is empty", w.Start, w.Horizon)
 		}
+		for i, busy := range w.Busy {
+			if w.Wall < busy {
+				t.Fatalf("window wall %v shorter than shard %d's busy %v: Wall must span dispatch to the last shard done", w.Wall, i, busy)
+			}
+		}
 		events += w.Events[0] + w.Events[1]
 	}
 	g.Run(Second)
@@ -349,5 +357,135 @@ func TestShardGroupTelemetry(t *testing.T) {
 	}
 	if events != g.EventsFired() {
 		t.Fatalf("telemetry counted %d events, group fired %d", events, g.EventsFired())
+	}
+}
+
+// tickGroup returns a group of n shards, each firing one event every
+// lookahead µs (so every window holds exactly one event per shard) and
+// calling onTick with its shard index before rescheduling.
+func tickGroup(n int, onTick func(shard int)) *ShardGroup {
+	const la = Microsecond
+	scheds := make([]*Scheduler, n)
+	for i := range scheds {
+		s := &Scheduler{}
+		s.EnableKeyed(1)
+		s.SetOwner(0)
+		var tick func()
+		tick = func() {
+			onTick(i)
+			s.After(la, tick)
+		}
+		s.At(la, tick)
+		scheds[i] = s
+	}
+	return NewShardGroup(scheds, la)
+}
+
+// TestShardGroupWorkersExit: every worker goroutine Run starts has
+// exited once Run returns — normally, interrupted, or re-raising a
+// shard's panic — and a panic on shard 0, which the coordinator drains
+// itself, still surfaces as *ShardPanic{Shard: 0}. Both shard counts
+// run: on a host with fewer Ps than shards the waiters park at once,
+// otherwise they spin first.
+func TestShardGroupWorkersExit(t *testing.T) {
+	// settled polls until the goroutine count is back to at most want:
+	// a worker is counted for a moment after it signals its exit, and
+	// so may be one of an earlier Run, counted in want.
+	settled := func(want int) int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			runtime.Gosched()
+		}
+		return got
+	}
+	cases := []struct {
+		name    string
+		until   Time
+		panicOn int // shard whose first event panics; -1 for none
+	}{
+		{"normal", 20 * Microsecond, -1},
+		{"interrupted", 1000 * Second, -1},
+		{"panic on shard 1", 1000 * Second, 1},
+		{"panic on shard 0", 1000 * Second, 0},
+	}
+	for _, n := range []int{2, 4} {
+		for _, c := range cases {
+			var g *ShardGroup
+			var ticks atomic.Uint64
+			g = tickGroup(n, func(shard int) {
+				if ticks.Add(1) == 200 {
+					g.Interrupt()
+				}
+				if shard == c.panicOn {
+					panic("injected shard bug")
+				}
+			})
+			before := runtime.NumGoroutine()
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				g.Run(c.until)
+				return nil
+			}()
+			if c.panicOn >= 0 {
+				sp, ok := r.(*ShardPanic)
+				if !ok {
+					t.Fatalf("%d shards, %s: recovered %v (%T), want *ShardPanic", n, c.name, r, r)
+				}
+				if sp.Shard != c.panicOn {
+					t.Fatalf("%d shards, %s: ShardPanic.Shard = %d, want %d", n, c.name, sp.Shard, c.panicOn)
+				}
+			} else if r != nil {
+				t.Fatalf("%d shards, %s: Run panicked: %v", n, c.name, r)
+			}
+			if c.name == "interrupted" && !g.Interrupted() {
+				t.Fatalf("%d shards: group not interrupted", n)
+			}
+			if got := settled(before); got > before {
+				t.Fatalf("%d shards, %s: %d goroutines after Run, %d before: workers leaked", n, c.name, got, before)
+			}
+		}
+	}
+}
+
+// TestShardGroupBarrierStress: over thousands of windows, every shard
+// has drained exactly its one event per window whenever Exchange runs —
+// no worker is still draining, has run ahead, or has run twice. A
+// wake-up delivered to the wrong window breaks this, and under the race
+// detector (make shards) the early worker's queue access is reported
+// too. Seven shards oversubscribe small hosts, so waiters park.
+func TestShardGroupBarrierStress(t *testing.T) {
+	for _, n := range []int{2, 7} {
+		fired := make([]int, n) // each shard writes only its own element
+		g := tickGroup(n, func(shard int) { fired[shard]++ })
+		windows := 0
+		g.Exchange = func() {
+			windows++
+			for i, f := range fired {
+				if f != windows {
+					t.Fatalf("%d shards, window %d: shard %d fired %d events, want %d", n, windows, i, f, windows)
+				}
+			}
+		}
+		g.Run(5000 * Microsecond)
+		if windows != 5000 {
+			t.Fatalf("%d shards: %d windows, want 5000", n, windows)
+		}
+	}
+}
+
+var benchEventsFired uint64
+
+// BenchmarkShardBarrier measures the barrier alone: every window fires
+// one trivial event per shard, so ns/op is the per-window handoff cost
+// (publish, drain a single event, detect completion) and nothing else.
+func BenchmarkShardBarrier(b *testing.B) {
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			g := tickGroup(n, func(int) {})
+			b.ReportAllocs()
+			b.ResetTimer()
+			g.Run(Time(b.N) * Microsecond)
+			benchEventsFired = g.EventsFired()
+		})
 	}
 }
