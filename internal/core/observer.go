@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"dcfguard/internal/sim"
 )
@@ -13,13 +14,24 @@ import (
 // The counting rule mirrors the sender's countdown: within each maximal
 // idle interval, the first DIFS is consumed before slots start counting,
 // and only whole slots count.
+//
+// Retained transitions live in a ring buffer whose capacity is a power
+// of two, at least 8, that doubles only when full: recording a
+// transition and pruning past the horizon cost amortised O(1), and
+// beyond 8 the capacity stays below twice the peak retained count.
+// IdleSlots finds its window start by binary search, O(log n) in the
+// retained history, plus one step per transition inside the window.
 type IdleObserver struct {
 	slot    sim.Time
 	difs    sim.Time
 	horizon sim.Time
 
-	busy        bool
-	transitions []transition // ordered by time
+	busy bool
+	// ring[(head+i)&(len(ring)-1)] for i in [0, n) are the retained
+	// transitions in time order; len(ring) is zero or a power of two.
+	ring []transition
+	head int
+	n    int
 }
 
 type transition struct {
@@ -47,21 +59,37 @@ func (o *IdleObserver) record(now sim.Time, busy bool) {
 		return
 	}
 	o.busy = busy
-	o.transitions = append(o.transitions, transition{at: now, busy: busy})
+	if o.n == len(o.ring) {
+		o.grow()
+	}
+	o.ring[(o.head+o.n)&(len(o.ring)-1)] = transition{at: now, busy: busy}
+	o.n++
 	o.prune(now)
 }
 
+// grow doubles the ring, unwrapping the retained transitions to the
+// front of the new buffer.
+func (o *IdleObserver) grow() {
+	ring := make([]transition, max(8, 2*len(o.ring)))
+	for i := 0; i < o.n; i++ {
+		ring[i] = o.at(i)
+	}
+	o.ring, o.head = ring, 0
+}
+
+// at returns the i-th oldest retained transition.
+func (o *IdleObserver) at(i int) transition {
+	return o.ring[(o.head+i)&(len(o.ring)-1)]
+}
+
 // prune drops transitions that ended before the retention horizon,
-// always keeping at least one so the state at any retained instant is
-// reconstructible.
+// always keeping the last transition at or before now − horizon so the
+// state at any retained instant is reconstructible.
 func (o *IdleObserver) prune(now sim.Time) {
 	cutoff := now - o.horizon
-	i := 0
-	for i < len(o.transitions)-1 && o.transitions[i+1].at <= cutoff {
-		i++
-	}
-	if i > 0 {
-		o.transitions = append(o.transitions[:0], o.transitions[i:]...)
+	for o.n > 1 && o.at(1).at <= cutoff {
+		o.head = (o.head + 1) & (len(o.ring) - 1)
+		o.n--
 	}
 }
 
@@ -81,24 +109,18 @@ func (o *IdleObserver) IdleSlots(from, to sim.Time) int {
 	if to < from {
 		panic(fmt.Sprintf("core: IdleSlots window [%v, %v) inverted", from, to))
 	}
+	// The state before the window is that of the last transition at or
+	// before from; the walk starts at the first one after it.
+	idx := sort.Search(o.n, func(i int) bool { return o.at(i).at > from })
+	busy := idx > 0 && o.at(idx-1).busy
 	slots := 0
-	// Walk transitions, tracking the state before the window.
-	busy := false
-	cur := sim.Time(0)
-	idx := 0
-	for idx < len(o.transitions) && o.transitions[idx].at <= from {
-		busy = o.transitions[idx].busy
-		cur = o.transitions[idx].at
-		idx++
-	}
-	_ = cur
 	segStart := from
 	for segStart < to {
 		var segEnd sim.Time
 		var nextBusy bool
-		if idx < len(o.transitions) && o.transitions[idx].at < to {
-			segEnd = o.transitions[idx].at
-			nextBusy = o.transitions[idx].busy
+		if idx < o.n && o.at(idx).at < to {
+			t := o.at(idx)
+			segEnd, nextBusy = t.at, t.busy
 			idx++
 		} else {
 			segEnd = to
