@@ -7,8 +7,10 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, listing them.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt: unformatted files:"; gofmt -l .; exit 1; }
 
 # detlint: the determinism analyzers over the whole module — cmd/ and
 # the top-level package included, internal/lint itself excluded — with

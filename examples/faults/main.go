@@ -14,6 +14,8 @@
 //     finished (scenario, seed) cells are loaded from the journal and
 //     only the rest execute.
 //
+// Run it with:
+//
 //	go run ./examples/faults
 package main
 

@@ -12,13 +12,13 @@ import (
 // the satellite fuzz target for degenerate chains (frozen, absorbing,
 // certain-loss) as much as for out-of-range rejection.
 func FuzzGEValidate(f *testing.F) {
-	f.Add(0.05, 0.25, 0.0, 1.0)    // classic Gilbert
-	f.Add(0.0, 0.0, 0.0, 0.0)      // frozen chain
-	f.Add(1.0, 0.0, 0.0, 1.0)      // absorbing Bad state
-	f.Add(0.0, 1.0, 1.0, 1.0)      // certain loss in both states
-	f.Add(-0.1, 0.5, 0.0, 1.0)     // out of range
+	f.Add(0.05, 0.25, 0.0, 1.0)      // classic Gilbert
+	f.Add(0.0, 0.0, 0.0, 0.0)        // frozen chain
+	f.Add(1.0, 0.0, 0.0, 1.0)        // absorbing Bad state
+	f.Add(0.0, 1.0, 1.0, 1.0)        // certain loss in both states
+	f.Add(-0.1, 0.5, 0.0, 1.0)       // out of range
 	f.Add(0.5, math.NaN(), 0.0, 0.5) // NaN
-	f.Add(2.0, 0.5, 0.5, 1.5)      // above one
+	f.Add(2.0, 0.5, 0.5, 1.5)        // above one
 
 	f.Fuzz(func(t *testing.T, p, r, good, bad float64) {
 		g := GE{PGoodBad: p, PBadGood: r, GoodFER: good, BadFER: bad}

@@ -214,7 +214,7 @@ func usesOnlyVars(info *types.Info, expr ast.Expr, allowed []types.Object) bool 
 // sortedInFunc reports whether fn contains a sorting call that mentions
 // dst among its arguments: any function from package sort or slices, or
 // — by naming convention — any local helper whose name starts with
-// "sort"/"Sort" (e.g. topo.sortIDs).
+// "sort"/"Sort" (e.g. a sortIDs helper).
 func sortedInFunc(info *types.Info, fn *ast.BlockStmt, dst *types.Var) bool {
 	if fn == nil {
 		return false

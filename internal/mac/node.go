@@ -122,11 +122,11 @@ type Node struct {
 	// Channel view + backoff engine (hot: touched on every carrier
 	// transition and countdown event).
 	physBusy   bool
-	counting   bool     // countdown currently running
-	committed  bool     // countdown expired this instant; transmit regardless of CS
-	eifsNext   bool     // next resume waits EIFS (corrupted reception seen)
+	counting   bool // countdown currently running
+	committed  bool // countdown expired this instant; transmit regardless of CS
+	eifsNext   bool // next resume waits EIFS (corrupted reception seen)
 	state      senderState
-	remaining  int      // backoff slots left to count
+	remaining  int // backoff slots left to count
 	navUntil   sim.Time
 	lastBusyAt sim.Time // most recent carrier busy transition
 	resumeWait sim.Time // the interframe space the current countdown waited

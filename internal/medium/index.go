@@ -8,17 +8,18 @@
 // observer ID, transmitter frame index[, coherence segment]) via
 // rng.Mix64/rng.CounterNorm — so a skipped pair costs zero draws and no
 // sample depends on iteration order. On top of that, a uniform grid
-// over attached positions bounds each transmitter's interaction radius
-// (the largest distance where mean + rng.NormBound·σ can still clear
-// the lowest carrier-sense/receive threshold in the network) and
-// precomputes per-transmitter neighbor lists, so Transmit iterates only
-// O(reachable) observers. Lists are rebuilt lazily at the first
-// Transmit after the last Attach, mirroring the v1 cache discipline.
+// (phys.Grid) over attached positions bounds each transmitter's
+// interaction radius (the largest distance where mean +
+// rng.NormBound·σ can still clear the lowest carrier-sense/receive
+// threshold in the network) and precomputes per-transmitter neighbor
+// lists, so Transmit iterates only O(reachable) observers. Lists are
+// rebuilt lazily at the first Transmit after the last Attach, mirroring
+// the v1 cache discipline.
 package medium
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
@@ -39,47 +40,6 @@ type neighbor struct {
 	uCs, uRx float64
 }
 
-// cellKey addresses one grid cell.
-type cellKey struct{ cx, cy int32 }
-
-// grid is a uniform spatial hash over attached positions. The cell side
-// equals the network's largest interaction radius, so every node within
-// any transmitter's radius lies in the 3×3 cell block around it.
-type grid struct {
-	cell  float64
-	cells map[cellKey][]*node
-}
-
-func newGrid(cell float64, nodes []*node) *grid {
-	if cell <= 0 {
-		cell = 1 // no pair is feasible; any positive cell size works
-	}
-	g := &grid{cell: cell, cells: make(map[cellKey][]*node, len(nodes))}
-	for _, nd := range nodes {
-		k := g.keyFor(nd.pos)
-		g.cells[k] = append(g.cells[k], nd)
-	}
-	return g
-}
-
-func (g *grid) keyFor(p phys.Point) cellKey {
-	return cellKey{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
-}
-
-// visit calls fn for every node in the 3×3 cell block around p. Cell
-// contents are in attach (ascending ID) order and the block is walked
-// in fixed order, so enumeration is deterministic.
-func (g *grid) visit(p phys.Point, fn func(*node)) {
-	c := g.keyFor(p)
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			for _, nd := range g.cells[cellKey{c.cx + dx, c.cy + dy}] {
-				fn(nd)
-			}
-		}
-	}
-}
-
 // pairKeyFor derives the counter-RNG key of the ordered (tx, obs) link.
 func (m *Medium) pairKeyFor(tx, obs frame.NodeID) uint64 {
 	return rng.Mix64(rng.Mix64(m.v2Base, uint64(tx)), uint64(obs))
@@ -92,6 +52,14 @@ func (m *Medium) pairKeyFor(tx, obs frame.NodeID) uint64 {
 // than just allocation. Radii use the network-wide lowest threshold, a
 // safe over-approximation under heterogeneous radios; the per-pair
 // filter is exact.
+//
+// Candidates come from a phys.Grid whose cells are at least the largest
+// interaction radius wide, so a transmitter's 3×3 cell block holds
+// every observer it can reach. Each block is sorted by node index
+// (= ascending ID) before filtering, so lists come out in ID order with
+// no per-list sort. All lists share one exact-size backing array: a
+// first pass records each feasible (observer, mean) pair, a second fills
+// the array and carves it into capacity-capped per-node sub-slices.
 func (m *Medium) buildIndex() {
 	slack := rng.NormBound * m.cfg.Model.SigmaDB
 	minThresh := math.Inf(1)
@@ -103,57 +71,93 @@ func (m *Medium) buildIndex() {
 			minThresh = t
 		}
 	}
+	// MaxRangeFor depends only on the TX power: one bisection per
+	// distinct power, not per node.
+	reach := make(map[float64]float64, 1)
 	maxReach := 0.0
+	pts := make([]phys.Point, len(m.nodes))
 	for i, nd := range m.nodes {
 		nd.idx = i
-		nd.reachM = m.cfg.Model.MaxRangeFor(nd.radio.TxPowerDBm, minThresh-slack)
-		if nd.reachM > maxReach {
-			maxReach = nd.reachM
+		pts[i] = nd.pos
+		r, ok := reach[nd.radio.TxPowerDBm]
+		if !ok {
+			r = m.cfg.Model.MaxRangeFor(nd.radio.TxPowerDBm, minThresh-slack)
+			reach[nd.radio.TxPowerDBm] = r
 		}
+		maxReach = max(maxReach, r)
+	}
+	if maxReach <= 0 {
+		maxReach = 1 // no pair is feasible; any positive cell size works
+	}
+	g := phys.NewGrid(pts, maxReach)
+
+	// First pass: the feasible (observer, mean) links of every
+	// transmitter, in order, into one scratch array sized by the blocks'
+	// total population so it never grows.
+	type link struct {
+		obs  int32
+		mean float64
+	}
+	visits := len(m.nodes) * len(m.nodes)
+	var cands []int32
+	if !m.bruteForce {
+		visits = 0
+		for _, tx := range m.nodes {
+			cands = g.AppendBlock(cands[:0], tx.pos)
+			visits += len(cands)
+		}
+	}
+	links := make([]link, 0, visits)
+	ends := make([]int, len(m.nodes))
+	for i, tx := range m.nodes {
+		cands = cands[:0]
+		if m.bruteForce {
+			// Test reference: every ordered pair, no pruning.
+			for j := range m.nodes {
+				cands = append(cands, int32(j))
+			}
+		} else {
+			// Ascending observer ID, so same-instant events enqueue in
+			// the same order as v1 (results are order-independent,
+			// goldens are not).
+			cands = g.AppendBlock(cands, tx.pos)
+			slices.Sort(cands)
+		}
+		for _, j := range cands {
+			obs := m.nodes[j]
+			if obs == tx {
+				continue
+			}
+			mean := m.cfg.Model.MeanRxPowerDBm(tx.radio.TxPowerDBm, tx.pos.Distance(obs.pos))
+			if !m.bruteForce {
+				bound := mean + slack
+				if bound < obs.radio.CsThreshDBm && bound < obs.radio.RxThreshDBm {
+					continue
+				}
+			}
+			links = append(links, link{obs: j, mean: mean})
+		}
+		ends[i] = len(links)
 	}
 
-	appendFeasible := func(tx, obs *node) {
-		if obs == tx {
-			return
-		}
-		d := tx.pos.Distance(obs.pos)
-		mean := m.cfg.Model.MeanRxPowerDBm(tx.radio.TxPowerDBm, d)
-		if !m.bruteForce {
-			bound := mean + slack
-			if bound < obs.radio.CsThreshDBm && bound < obs.radio.RxThreshDBm {
-				return
+	// Second pass: one exact-size backing array for every list.
+	all := make([]neighbor, len(links))
+	sigma := m.cfg.Model.SigmaDB
+	begin := 0
+	for i, tx := range m.nodes {
+		nbs := all[begin:ends[i]:ends[i]]
+		for k, l := range links[begin:ends[i]] {
+			obs := m.nodes[l.obs]
+			nbs[k] = neighbor{
+				obs:     obs,
+				meanDBm: l.mean,
+				pairKey: m.pairKeyFor(tx.id, obs.id),
+				uCs:     uniformThresh(obs.radio.CsThreshDBm, l.mean, sigma),
+				uRx:     uniformThresh(obs.radio.RxThreshDBm, l.mean, sigma),
 			}
 		}
-		tx.neighbors = append(tx.neighbors, neighbor{
-			obs:     obs,
-			meanDBm: mean,
-			pairKey: m.pairKeyFor(tx.id, obs.id),
-			uCs:     uniformThresh(obs.radio.CsThreshDBm, mean, m.cfg.Model.SigmaDB),
-			uRx:     uniformThresh(obs.radio.RxThreshDBm, mean, m.cfg.Model.SigmaDB),
-		})
-	}
-
-	if m.bruteForce {
-		// Test reference: every ordered pair, no pruning, no grid.
-		for _, tx := range m.nodes {
-			tx.neighbors = tx.neighbors[:0]
-			for _, obs := range m.nodes {
-				appendFeasible(tx, obs)
-			}
-		}
-	} else {
-		g := newGrid(maxReach, m.nodes)
-		for _, tx := range m.nodes {
-			tx.neighbors = tx.neighbors[:0]
-			txp := tx
-			g.visit(tx.pos, func(obs *node) { appendFeasible(txp, obs) })
-		}
-	}
-	// Ascending observer ID, so same-instant events enqueue in the same
-	// order as v1 (results are order-independent, goldens are not).
-	for _, tx := range m.nodes {
-		nbs := tx.neighbors
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].obs.id < nbs[j].obs.id })
+		tx.neighbors = nbs
+		begin = ends[i]
 	}
 	m.cacheDirty = false
 }

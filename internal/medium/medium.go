@@ -218,11 +218,10 @@ type node struct {
 	arrivals  []*arrival
 
 	// Channel model v2 state: the per-transmitter frame counter that
-	// indexes counter-RNG draws, the maximum interaction radius as a
-	// transmitter, and the precomputed feasible-observer list
-	// (ascending ID), rebuilt lazily after Attach like the v1 cache.
+	// indexes counter-RNG draws and the precomputed feasible-observer
+	// list (ascending ID), rebuilt lazily after Attach like the v1
+	// cache.
 	txCount   uint64
-	reachM    float64
 	neighbors []neighbor
 }
 

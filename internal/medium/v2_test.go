@@ -2,7 +2,9 @@ package medium
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
@@ -31,8 +33,8 @@ func shadowedRadio(rangeScale float64) phys.Radio {
 // v2TraceSetup builds a v2 medium over pseudo-random positions in a
 // width × 700 m arena (two alternating radio classes) and schedules a
 // deterministic script of interleaved RTS/DATA transmissions from every
-// node. It returns the scheduler and per-node recorders.
-func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute bool) (*sim.Scheduler, []*recorder) {
+// node. It returns the medium and per-node recorders.
+func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute bool) (*Medium, []*recorder) {
 	var sched sim.Scheduler
 	med := New(&sched, v2Config(coherence), rng.New(seed))
 	med.bruteForce = brute
@@ -71,7 +73,7 @@ func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute b
 		}
 	}
 	sched.Run(sim.Time(rounds*n)*spacing + sim.Second)
-	return &sched, recs
+	return med, recs
 }
 
 // TestV2GridMatchesBruteForce is the grid-index equivalence quickcheck:
@@ -81,7 +83,10 @@ func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute b
 // brute-force enumeration with no feasibility pruning — across random
 // topologies, both radio classes, and coherence on/off. A mismatch
 // means either the grid missed a feasible pair or the NormBound pruning
-// discarded a reachable one.
+// discarded a reachable one. The neighbor lists themselves are checked
+// too (checkIndexAgainstBruteForce): the grid's must be exactly the
+// feasible part of the brute-force ones, and both media must lay their
+// lists back to back in one exact-size array.
 func TestV2GridMatchesBruteForce(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
 	sizes := []int{9, 16}
@@ -96,8 +101,9 @@ func TestV2GridMatchesBruteForce(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					// 2500 m wide: several grid cells, some pairs out
 					// of interaction range entirely.
-					_, gridRecs := v2TraceSetup(seed, n, 2500, coherence, false)
-					_, bruteRecs := v2TraceSetup(seed, n, 2500, coherence, true)
+					gridMed, gridRecs := v2TraceSetup(seed, n, 2500, coherence, false)
+					bruteMed, bruteRecs := v2TraceSetup(seed, n, 2500, coherence, true)
+					checkIndexAgainstBruteForce(t, gridMed, bruteMed)
 					for i := range gridRecs {
 						g, b := gridRecs[i].events, bruteRecs[i].events
 						if len(g) != len(b) {
@@ -113,6 +119,55 @@ func TestV2GridMatchesBruteForce(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkIndexAgainstBruteForce compares two media built over the same
+// nodes, one from the grid and one brute-force: each grid list must
+// hold exactly the brute-force entries that pass the NormBound filter,
+// field for field and in the same (ascending ID) order. In both media
+// every list must have capacity equal to its length and start where
+// the previous non-empty list ends — one shared backing array.
+func checkIndexAgainstBruteForce(t *testing.T, grid, brute *Medium) {
+	t.Helper()
+	slack := rng.NormBound * grid.cfg.Model.SigmaDB
+	for i, tx := range grid.nodes {
+		var want []neighbor
+		for _, nb := range brute.nodes[i].neighbors {
+			bound := nb.meanDBm + slack
+			if bound >= nb.obs.radio.CsThreshDBm || bound >= nb.obs.radio.RxThreshDBm {
+				want = append(want, nb)
+			}
+		}
+		got := tx.neighbors
+		if len(got) != len(want) {
+			t.Fatalf("node %d: %d grid neighbors, %d feasible brute-force", tx.id, len(got), len(want))
+		}
+		for k := range got {
+			g, w := got[k], want[k]
+			if g.obs.id != w.obs.id || g.pairKey != w.pairKey ||
+				math.Float64bits(g.meanDBm) != math.Float64bits(w.meanDBm) ||
+				math.Float64bits(g.uCs) != math.Float64bits(w.uCs) ||
+				math.Float64bits(g.uRx) != math.Float64bits(w.uRx) {
+				t.Fatalf("node %d neighbor %d: grid %+v, brute-force %+v", tx.id, k, g, w)
+			}
+		}
+	}
+	for _, m := range []*Medium{grid, brute} {
+		var end unsafe.Pointer // one past the previous non-empty list
+		for _, tx := range m.nodes {
+			nbs := tx.neighbors
+			if cap(nbs) != len(nbs) {
+				t.Fatalf("node %d: neighbor list len %d cap %d, want capped", tx.id, len(nbs), cap(nbs))
+			}
+			if len(nbs) == 0 {
+				continue
+			}
+			if end != nil && unsafe.Pointer(&nbs[0]) != end {
+				t.Fatalf("node %d: neighbor list does not continue the previous one in the shared array", tx.id)
+			}
+			end = unsafe.Add(unsafe.Pointer(&nbs[len(nbs)-1]), unsafe.Sizeof(nbs[0]))
 		}
 	}
 }

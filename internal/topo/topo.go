@@ -7,6 +7,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
@@ -117,56 +118,104 @@ func Star(nSenders int, twoFlow bool, misbehaving []frame.NodeID) *Topology {
 // random neighbor within maxLink metres (or its nearest node when it
 // has no neighbor in range); nMis distinct flow sources, chosen at
 // random, misbehave.
+//
+// Neighbors come from a phys.Grid with cells at least maxLink wide, so
+// each node tests the few nodes of its 3×3 cell block instead of all n:
+// the candidate list — every node within maxLink, in ascending ID — and
+// hence every RNG draw are the same as an all-pairs scan's.
 func Random(n int, width, height, maxLink float64, nMis int, src *rng.Source) *Topology {
 	if n < 2 || nMis < 0 || nMis > n {
 		panic(fmt.Sprintf("topo: Random(n=%d, nMis=%d)", n, nMis))
 	}
-	t := &Topology{Positions: make([]phys.Point, n)}
-	for i := range t.Positions {
-		t.Positions[i] = phys.Point{
+	pos := make([]phys.Point, n)
+	for i := range pos {
+		pos[i] = phys.Point{
 			X: src.Float64() * width,
 			Y: src.Float64() * height,
 		}
 	}
-	receivers := make(map[frame.NodeID]bool)
-	for i := 0; i < n; i++ {
-		id := frame.NodeID(i)
-		// Candidate neighbors within range.
-		var candidates []frame.NodeID
-		nearest := frame.NodeID(-1)
-		nearestDist := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			d := t.Positions[i].Distance(t.Positions[j])
-			if d <= maxLink {
+	t, _ := randomFlows(pos, maxLink, nMis, src)
+	return t
+}
+
+// randomFlows completes Random over the placed nodes: one flow per
+// node, the receivers, and nMis misbehaving sources. It also returns
+// how many node-to-node distances it evaluated, the measure of its
+// work.
+func randomFlows(pos []phys.Point, maxLink float64, nMis int, src *rng.Source) (*Topology, int) {
+	n := len(pos)
+	t := &Topology{
+		Positions: pos,
+		Flows:     make([]Flow, 0, n),
+		Measured:  make([]frame.NodeID, 0, n),
+	}
+	g := phys.NewGrid(pos, maxLink)
+	evaluated := 0
+	var block []int32
+	var candidates []frame.NodeID
+	for i, p := range pos {
+		block = g.AppendBlock(block[:0], p)
+		evaluated += len(block) - 1 // the block holds i itself
+		candidates = candidates[:0]
+		for _, j := range block {
+			if int(j) != i && p.Distance(pos[j]) <= maxLink {
 				candidates = append(candidates, frame.NodeID(j))
 			}
-			if d < nearestDist {
-				nearestDist = d
-				nearest = frame.NodeID(j)
-			}
 		}
-		dst := nearest
+		var dst frame.NodeID
 		if len(candidates) > 0 {
+			slices.Sort(candidates)
 			dst = candidates[src.Intn(len(candidates))]
+		} else {
+			var m int
+			dst, m = nearest(g, pos, i, block)
+			evaluated += m
 		}
+		id := frame.NodeID(i)
 		t.Flows = append(t.Flows, Flow{Src: id, Dst: dst})
 		t.Measured = append(t.Measured, id)
-		receivers[dst] = true
 	}
-	for id := range receivers {
-		t.Receivers = append(t.Receivers, id)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(t.Flows, n)
 	// Pick nMis distinct misbehaving sources.
 	perm := src.Perm(n)
 	for _, p := range perm[:nMis] {
 		t.Misbehaving = append(t.Misbehaving, frame.NodeID(p))
 	}
-	sortIDs(t.Misbehaving)
-	return t
+	slices.Sort(t.Misbehaving)
+	return t, evaluated
+}
+
+// nearest returns the node closest to node i, the lowest ID on a tie
+// (-1 if no distance compares below +Inf), and the number of distances
+// it evaluated. It searches g ring by ring outwards from i's cell and
+// stops once the best distance is below g.RingGap of the last ring
+// walked, which no point in a farther ring can match. buf is scratch
+// space.
+func nearest(g *phys.Grid, pos []phys.Point, i int, buf []int32) (frame.NodeID, int) {
+	p := pos[i]
+	cx, cy := g.Coords(p)
+	best, bestDist := frame.NodeID(-1), math.Inf(1)
+	evaluated := 0
+	for k := 0; ; k++ {
+		var more bool
+		buf, more = g.AppendRing(buf[:0], cx, cy, k)
+		if !more {
+			return best, evaluated
+		}
+		for _, j := range buf {
+			if int(j) == i {
+				continue
+			}
+			evaluated++
+			d := p.Distance(pos[j])
+			if d <= bestDist && (d < bestDist || frame.NodeID(j) < best) {
+				best, bestDist = frame.NodeID(j), d
+			}
+		}
+		if bestDist < g.RingGap(k) {
+			return best, evaluated
+		}
+	}
 }
 
 // Line builds a chain of n nodes spaced `spacing` metres apart, with a
@@ -178,7 +227,6 @@ func Line(n int, spacing float64) *Topology {
 		panic(fmt.Sprintf("topo: Line(%d, %v)", n, spacing))
 	}
 	t := &Topology{Positions: make([]phys.Point, n)}
-	receivers := make(map[frame.NodeID]bool)
 	for i := 0; i < n; i++ {
 		t.Positions[i] = phys.Point{X: float64(i) * spacing}
 	}
@@ -186,12 +234,8 @@ func Line(n int, spacing float64) *Topology {
 		src, dst := frame.NodeID(i), frame.NodeID(i+1)
 		t.Flows = append(t.Flows, Flow{Src: src, Dst: dst})
 		t.Measured = append(t.Measured, src)
-		receivers[dst] = true
 	}
-	for id := range receivers {
-		t.Receivers = append(t.Receivers, id)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(t.Flows, n)
 	return t
 }
 
@@ -203,7 +247,6 @@ func Grid(cols, rows int, spacing float64) *Topology {
 		panic(fmt.Sprintf("topo: Grid(%d, %d, %v)", cols, rows, spacing))
 	}
 	t := &Topology{Positions: make([]phys.Point, cols*rows)}
-	receivers := make(map[frame.NodeID]bool)
 	id := func(c, r int) frame.NodeID { return frame.NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -221,20 +264,24 @@ func Grid(cols, rows int, spacing float64) *Topology {
 			}
 			t.Flows = append(t.Flows, Flow{Src: src, Dst: dst})
 			t.Measured = append(t.Measured, src)
-			receivers[dst] = true
 		}
 	}
-	for rid := range receivers {
-		t.Receivers = append(t.Receivers, rid)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(t.Flows, cols*rows)
 	return t
 }
 
-func sortIDs(ids []frame.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// receiversOf lists the distinct destinations of flows over n nodes in
+// ascending ID order (nil when there are none).
+func receiversOf(flows []Flow, n int) []frame.NodeID {
+	isDst := make([]bool, n)
+	for _, f := range flows {
+		isDst[f.Dst] = true
+	}
+	var ids []frame.NodeID
+	for id, ok := range isDst {
+		if ok {
+			ids = append(ids, frame.NodeID(id))
 		}
 	}
+	return ids
 }
